@@ -173,12 +173,12 @@ def backend_wallclock(crs, grid_dims=None, num_ipus: int = 1,
     speedups over the first backend (``speedup`` = first/"fast",
     ``speedup_<b>`` = first/b for the rest), a bit-identity check of every
     result against the first backend's, and — for kernel-dispatch
-    backends — the :class:`~repro.graph.GlobalCounters` delta under
+    backends — the engine's ``kernel_counters`` under
     ``<backend>_counters``.  Wall-clock numbers are host measurements and
     therefore *not* deterministic — benches that record them should keep
     them out of the cycle-count artifacts.
     """
-    from repro.graph import Engine, GlobalCounters
+    from repro.graph import Engine
 
     seconds: dict = {}
     outputs: dict = {}
@@ -196,13 +196,12 @@ def backend_wallclock(crs, grid_dims=None, num_ipus: int = 1,
         else:
             ctx.Repeat(repeats, lambda: A.spmv(x, y))
         engine = Engine(ctx.compile(), backend=backend)
-        with GlobalCounters.track() as delta:
-            t0 = time.perf_counter()
-            engine.run()
-            seconds[backend] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        engine.run()
+        seconds[backend] = time.perf_counter() - t0
         outputs[backend] = y.read_global()
-        if getattr(engine.backend, "uses_kernels", False):
-            counters[backend] = delta
+        if engine.kernel_counters is not None:
+            counters[backend] = engine.kernel_counters
         if backend == "sim":
             sim_cycles = device.profiler.total_cycles
     ref = backends[0]
@@ -242,8 +241,7 @@ def solver_backend_wallclock(crs, config, b, grid_dims=None, num_ipus: int = 1,
     ``<backend>_seconds``, ``speedup_<b>`` over the first backend,
     ``fused_over_fast`` when both are present, a bit-identity check of the
     solutions against the first backend's, iteration counts, and the
-    :class:`~repro.graph.GlobalCounters` delta for kernel-dispatch
-    backends.
+    engine's ``kernel_counters`` for kernel-dispatch backends.
 
     ``wall_profiles=True`` additionally attaches a
     :class:`~repro.telemetry.WallTracer` to every backend run and records
@@ -252,7 +250,7 @@ def solver_backend_wallclock(crs, config, b, grid_dims=None, num_ipus: int = 1,
     per-kernel breakdown behind the aggregate ``<backend>_seconds``.  Wall
     tracing is observational, so the bit-identity check still holds.
     """
-    from repro.graph import Engine, GlobalCounters
+    from repro.graph import Engine
     from repro.solvers.api import _build_program
     from repro.telemetry import WallTracer
 
@@ -268,17 +266,16 @@ def solver_backend_wallclock(crs, config, b, grid_dims=None, num_ipus: int = 1,
             grid_dims=grid_dims)
         wtracer = WallTracer() if wall_profiles else None
         engine = Engine(ctx.compile(), backend=backend, wall_tracer=wtracer)
-        with GlobalCounters.track() as delta:
-            t0 = time.perf_counter()
-            engine.run()
-            seconds[backend] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        engine.run()
+        seconds[backend] = time.perf_counter() - t0
         if getattr(solver, "x_ext", None) is not None:
             outputs[backend] = solver.x_ext.read_global()
         else:
             outputs[backend] = xvec.read_global()
         iters[backend] = solver.stats.total_iterations
-        if getattr(engine.backend, "uses_kernels", False):
-            counters[backend] = delta
+        if engine.kernel_counters is not None:
+            counters[backend] = engine.kernel_counters
         if wtracer is not None:
             profiles[backend] = wtracer.profile(top=profile_top)
         if backend == "sim":

@@ -467,7 +467,8 @@ def _cmd_serve(args) -> int:
     compatible jobs coalesce into one multi-RHS solve.  ``--check``
     re-solves every served job directly and fails unless the served
     results are bit-identical (docs/serving.md) — batched dispatches
-    included.
+    included — and every unbatched job reports the kernel counters of its
+    direct re-solve.
     """
     import asyncio
     import json
@@ -593,8 +594,12 @@ def _cmd_serve(args) -> int:
                     resilience=job.get("resilience"),
                 )
                 checked += 1
+                # A batched dispatch reports the shared solve's counters;
+                # an unbatched job must report exactly its own launches.
                 if not (np.array_equal(res.result.x, ref.x)
-                        and res.result.stats.residuals == ref.stats.residuals):
+                        and res.result.stats.residuals == ref.stats.residuals
+                        and (res.batch_size > 1
+                             or res.result.kernel_counters == ref.kernel_counters)):
                     mismatched += 1
         print(f"check:      {checked} served job(s) re-solved directly; "
               f"{'all bit-identical' if mismatched == 0 else f'{mismatched} MISMATCHED'}")
@@ -808,7 +813,8 @@ def main(argv=None) -> int:
                               "(sim backend)")
     p_serve.add_argument("--check", action="store_true",
                          help="re-solve every served job directly and fail unless "
-                              "bit-identical (the serving-is-observational contract)")
+                              "bit-identical, with equal kernel counters for "
+                              "unbatched jobs (the serving-is-observational contract)")
     p_serve.add_argument("--metrics", metavar="PATH",
                          help="write the service metrics snapshot (.json or "
                               "Prometheus text)")

@@ -48,7 +48,6 @@ from repro.graph.runtime import (
     Backend,
     FastBackend,
     FusedBackend,
-    GlobalCounters,
     SimBackend,
     register_backend,
     resolve_backend,
@@ -85,7 +84,6 @@ __all__ = [
     "SimBackend",
     "FastBackend",
     "FusedBackend",
-    "GlobalCounters",
     "register_backend",
     "resolve_backend",
 ]

@@ -77,6 +77,11 @@ class Engine:
         self.exchanges = 0
         self.host_callbacks = 0
         self.loop_iterations = 0
+        # Kernel-dispatch statistics (they stay zero off kernel backends).
+        self.kernels = 0
+        self.fused_compute_sets = 0
+        self.fused_exchanges = 0
+        self.fallback_vertices = 0
 
     # -- host data interface ---------------------------------------------------------
 
@@ -109,6 +114,36 @@ class Engine:
             row = row + np.asarray(sh.lo[0], dtype=np.float64)
         return np.atleast_1d(row)
 
+    @property
+    def kernel_counters(self) -> dict | None:
+        """Kernel/dispatch tallies of every run of this engine, or ``None``
+        when the backend does not dispatch fused kernels.
+
+        - ``kernels`` — fused-kernel launches,
+        - ``dispatches`` — host-side dispatch calls: one per kernel launch
+          plus one per compute/exchange step executed outside a kernel,
+        - ``fused_compute_sets`` / ``fused_exchanges`` — Execute / Exchange
+          steps whose work ran *inside* a kernel (what the launches replaced),
+        - ``fallback_vertices`` — per-vertex ``run()`` calls inside kernels
+          for compute sets the lowerer could not vectorize.
+
+        The tallies belong to this engine alone, so concurrent engines (e.g.
+        serve worker threads) never see each other's launches.
+        """
+        if not getattr(self.backend, "uses_kernels", False):
+            return None
+        # Every step outside a kernel is one dispatch; the kernels' absorbed
+        # steps are already folded into supersteps/exchanges.
+        unfused = (self.supersteps - self.fused_compute_sets
+                   + self.exchanges - self.fused_exchanges)
+        return {
+            "kernels": self.kernels,
+            "dispatches": self.kernels + unfused,
+            "fused_compute_sets": self.fused_compute_sets,
+            "fused_exchanges": self.fused_exchanges,
+            "fallback_vertices": self.fallback_vertices,
+        }
+
     # -- execution ---------------------------------------------------------------------
 
     def run(self) -> None:
@@ -138,6 +173,10 @@ class Engine:
             if isinstance(item, FusedKernel):
                 self.supersteps += item.n_compute
                 self.exchanges += item.n_exchange
+                self.kernels += 1
+                self.fused_compute_sets += item.n_compute
+                self.fused_exchanges += item.n_exchange
+                self.fallback_vertices += item.n_fallback
                 self.backend.run_kernel(item)
             else:
                 self._run_step(item)

@@ -7,9 +7,11 @@
 - :mod:`repro.graph.runtime.fast` — numerics-only execution for
   large-matrix runs where cycle counts are not needed,
 - :mod:`repro.graph.runtime.fused` — numerics-only execution through
-  fused whole-device kernels (the fastest host path),
-- :mod:`repro.graph.runtime.counters` — tinygrad-style global
-  kernel/dispatch counters.
+  fused whole-device kernels (the fastest host path).
+
+Backends hold no run statistics: the :class:`~repro.graph.Engine` driving
+one counts supersteps, exchanges and, on kernel backends, kernel launches
+and dispatches (``Engine.kernel_counters``), so every run owns its tallies.
 
 See ``docs/runtime.md`` for the protocol, determinism guarantees, and
 guidance on choosing a backend.
@@ -22,7 +24,6 @@ from repro.graph.runtime.base import (
     register_backend,
     resolve_backend,
 )
-from repro.graph.runtime.counters import GlobalCounters
 from repro.graph.runtime.fast import FastBackend
 from repro.graph.runtime.fused import FusedBackend
 from repro.graph.runtime.sim import SimBackend
@@ -36,5 +37,4 @@ __all__ = [
     "SimBackend",
     "FastBackend",
     "FusedBackend",
-    "GlobalCounters",
 ]

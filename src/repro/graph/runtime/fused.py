@@ -18,15 +18,15 @@ are rejected with :class:`~repro.errors.BackendCapabilityError` (the guard
 is inherited from :class:`~repro.graph.runtime.fast.FastBackend`), but a
 :class:`~repro.telemetry.WallTracer` is accepted — each launch then gets a
 measured ``perf_counter_ns`` span tagged with the kernel's fused step
-counts and byte/FLOP estimates.  Every launch is also tallied in
-:class:`~repro.graph.runtime.counters.GlobalCounters` so telemetry and
-tests can prove fusion happened.
+counts and byte/FLOP estimates.  The backend keeps no tallies of its own:
+the :class:`~repro.graph.Engine` counts every launch and dispatch per run
+(``Engine.kernel_counters``), so telemetry and tests can prove fusion
+happened without any process-wide state.
 """
 
 from __future__ import annotations
 
 from repro.graph.runtime.base import register_backend
-from repro.graph.runtime.counters import GlobalCounters
 from repro.graph.runtime.fast import FastBackend
 
 __all__ = ["FusedBackend"]
@@ -43,11 +43,6 @@ class FusedBackend(FastBackend):
 
     def run_kernel(self, kernel) -> None:
         """Launch one fused kernel (one host dispatch)."""
-        GlobalCounters.kernels += 1
-        GlobalCounters.dispatches += 1
-        GlobalCounters.fused_compute_sets += kernel.n_compute
-        GlobalCounters.fused_exchanges += kernel.n_exchange
-        GlobalCounters.fallback_vertices += kernel.n_fallback
         wt = self.wall_tracer
         if wt is None:
             kernel.run()
@@ -55,11 +50,3 @@ class FusedBackend(FastBackend):
         start = wt.now()
         kernel.run()
         wt.kernel(kernel, start)
-
-    def run_compute_set(self, step) -> None:
-        GlobalCounters.dispatches += 1
-        super().run_compute_set(step)
-
-    def run_exchange(self, step) -> None:
-        GlobalCounters.dispatches += 1
-        super().run_exchange(step)

@@ -78,6 +78,7 @@ from repro.serve.batching import (
 )
 from repro.serve.policy import CircuitBreaker, ServicePolicy, TokenBucket
 from repro.serve.queue import FairQueue, Job, JobResult
+from repro.solvers.api import validate_arrays
 from repro.solvers.session import ProgramCache, batch_bucket, fingerprint_solve
 
 __all__ = ["SolverService"]
@@ -215,7 +216,9 @@ class SolverService:
 
         Raises the typed admission errors **synchronously**:
         :class:`~repro.errors.ReproError` (malformed ``b``/``x0``/
-        ``deadline`` — caught here instead of deep in a worker),
+        ``deadline`` — caught here by
+        :func:`~repro.solvers.api.validate_arrays`, the validator
+        ``solve()`` itself runs, instead of deep in a worker),
         :class:`~repro.errors.ServiceOverloadError` (queue full, draining,
         or circuit open) and :class:`~repro.errors.QuotaExceededError`
         (tenant out of tokens).  ``deadline`` is wall-clock seconds from
@@ -231,7 +234,7 @@ class SolverService:
             raise ServiceOverloadError("service is not accepting jobs",
                                        reason="shutting_down")
         try:
-            self._validate_arrays(matrix, b, x0)
+            validate_arrays(matrix, b, x0)
             if deadline is None:
                 deadline = self.policy.default_deadline
             if deadline is not None and deadline <= 0:
@@ -281,44 +284,6 @@ class SolverService:
         self._items.release()
         self._gauges()
         return job
-
-    @staticmethod
-    def _validate_arrays(matrix, b, x0) -> None:
-        """Admission-time validation of the right-hand side(s) and guess.
-
-        A malformed ``b`` used to sail through admission and surface deep
-        in a worker as an untyped shape/dtype error; checking here rejects
-        it synchronously with a typed :class:`~repro.errors.ReproError`
-        (the existing exit-code mapping) before it consumes quota or queue
-        capacity.
-        """
-        b_arr = np.asarray(b)
-        if b_arr.ndim not in (1, 2):
-            raise ReproError(
-                f"b must be 1-D (n,) or batched 2-D (batch, n), "
-                f"got shape {b_arr.shape}")
-        if b_arr.ndim == 2 and b_arr.shape[0] < 1:
-            raise ReproError("batched b needs at least one right-hand side")
-        n = int(matrix.n)
-        if b_arr.shape[-1] != n:
-            raise ReproError(
-                f"b has {b_arr.shape[-1]} entries per right-hand side "
-                f"but the matrix is {n}x{n}")
-        if b_arr.dtype.kind not in "fiu":
-            raise ReproError(
-                f"b must be real-numeric, got dtype {b_arr.dtype}")
-        if b_arr.dtype.kind == "f" and not np.isfinite(b_arr).all():
-            raise ReproError("b contains non-finite values")
-        if x0 is not None:
-            x0_arr = np.asarray(x0)
-            if x0_arr.shape != b_arr.shape:
-                raise ReproError(
-                    f"x0 shape {x0_arr.shape} must match b shape {b_arr.shape}")
-            if x0_arr.dtype.kind not in "fiu":
-                raise ReproError(
-                    f"x0 must be real-numeric, got dtype {x0_arr.dtype}")
-            if x0_arr.dtype.kind == "f" and not np.isfinite(x0_arr).all():
-                raise ReproError("x0 contains non-finite values")
 
     async def solve(self, matrix, b, config, **kwargs) -> JobResult:
         """Submit and await: returns the :class:`~repro.serve.JobResult`

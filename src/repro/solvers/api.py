@@ -25,7 +25,7 @@ from repro.errors import (
     SolverBreakdownError,
     SRAMOverflowError,
 )
-from repro.graph import CompiledProgram, Engine, GlobalCounters
+from repro.graph import CompiledProgram, Engine
 from repro.machine import IPUDevice
 from repro.solvers.base import SolveProgress, SolveStats
 from repro.solvers.config import build_solver
@@ -40,7 +40,7 @@ from repro.sparse.crs import ModifiedCRS
 from repro.sparse.distribute import DistributedMatrix
 from repro.tensordsl import TensorContext, Type
 
-__all__ = ["solve", "compile_solve", "SolveResult"]
+__all__ = ["solve", "compile_solve", "validate_arrays", "SolveResult"]
 
 
 @dataclass
@@ -67,9 +67,10 @@ class SolveResult:
     telemetry: object = None  # Tracer when solve(..., trace=...) was used
     #: ResilienceReport when faults and/or resilience were active, else None.
     resilience: object = None
-    #: :class:`~repro.graph.GlobalCounters` delta for this solve (kernel
-    #: launches, dispatches, fused/fallback breakdown) when the backend
-    #: dispatches fused kernels (``backend="fused"``), else None.
+    #: ``Engine.kernel_counters`` of this solve (kernel launches,
+    #: dispatches, fused/fallback breakdown), summed over every engine it
+    #: ran — OOM-degrade restarts and rollback re-runs included — when the
+    #: backend dispatches fused kernels (``backend="fused"``), else None.
     kernel_counters: dict | None = None
     #: Measured host wall-clock seconds for the whole solve call, recorded
     #: on every backend (contrast ``seconds``, which is the sim backend's
@@ -238,39 +239,32 @@ def solve(
     ``backend="fast"`` executes numerics only (bit-identical solution,
     zero reported cycles); ``backend="fused"`` additionally dispatches the
     compiled program's fused whole-device kernels and populates
-    ``SolveResult.kernel_counters`` — see ``docs/runtime.md``.
+    ``SolveResult.kernel_counters`` with the launches of this solve alone
+    (per-engine tallies, exact under concurrent solves) — see
+    ``docs/runtime.md``.  A malformed ``b``/``x0`` raises a typed
+    :class:`~repro.errors.ReproError` (:func:`validate_arrays`).
 
-    ``trace`` enables telemetry (``docs/observability.md``; requires the
-    sim backend): ``True`` collects events into ``SolveResult.telemetry``,
-    a path additionally writes the Chrome ``trace_event`` JSON there, and a
-    :class:`~repro.telemetry.Tracer` instance records into that tracer.
-    Tracing is observational — the traced run is bit-identical in tensors
-    and cycles to an untraced one.
-
-    ``wall_trace`` enables measured host wall-clock profiling on *any*
-    backend (``docs/observability.md``): ``True`` collects per-launch
-    ``perf_counter_ns`` spans into ``SolveResult.wall_telemetry``, a path
-    additionally writes a wall-domain Chrome trace there, and a
-    :class:`~repro.telemetry.WallTracer` instance records into that
-    tracer.  ``metrics`` collects counters/gauges/histograms into a
-    :class:`~repro.telemetry.MetricsRegistry` (``True``, an instance, or a
-    path — ``.json`` writes a JSON snapshot, anything else Prometheus
-    text) and is returned as ``SolveResult.metrics``.  ``on_progress``
-    receives a :class:`~repro.solvers.SolveProgress` sample every
-    ``progress_every`` recorded iterations while the solve runs.  All
-    three are observational: the solution, residual history, and kernel
+    ``trace`` (cycle-domain telemetry; sim backend only), ``wall_trace``
+    (measured host wall-clock spans per launch, any backend) and
+    ``metrics`` (a :class:`~repro.telemetry.MetricsRegistry` of
+    counters/gauges/histograms) share one sink grammar
+    (``docs/observability.md``): ``True`` collects into a fresh instance —
+    returned as ``SolveResult.telemetry`` / ``.wall_telemetry`` /
+    ``.metrics`` — a path additionally writes it there (a Chrome
+    ``trace_event`` JSON; for metrics ``.json`` writes a JSON snapshot,
+    anything else Prometheus text), and an instance records into itself.
+    ``on_progress`` receives a :class:`~repro.solvers.SolveProgress` sample
+    every ``progress_every`` recorded iterations.  All of them are
+    observational: the solution, residual history, cycles and kernel
     counters are bit-identical to an unobserved run.
 
     ``max_wall_seconds`` is a cooperative wall-clock deadline
-    (``docs/serving.md``): the budget is checked on *every* iteration of
-    every solver in the config tree (nested inner solves and
-    ``record_history=False`` loops included), independent of
-    ``progress_every``, and an
-    exceeded budget cancels the solve mid-iteration with a typed
+    (``docs/serving.md``), checked on *every* iteration of every solver in
+    the config tree (nested inner solves and ``record_history=False`` loops
+    included).  An exceeded budget cancels the solve mid-iteration, on any
+    backend and through cache hits alike, with a typed
     :class:`~repro.errors.JobTimeoutError` carrying the partial
-    :class:`~repro.solvers.SolveStats` record.  It works on every backend
-    and composes with caching (an aborted cached entry is restored by the
-    next ``prepare``).
+    :class:`~repro.solvers.SolveStats` record.
 
     ``inject_faults`` enables deterministic seeded fault injection
     (``docs/resilience.md``; requires the sim backend): a
@@ -283,459 +277,452 @@ def solve(
     :class:`~repro.solvers.resilience.ResilienceReport`.
 
     ``cache`` enables the structure-keyed compile cache
-    (``docs/performance.md``): ``True`` uses the process-wide
-    :class:`~repro.solvers.session.ProgramCache`, or pass your own
-    instance.  A hit rebinds ``b``/``x0`` into the cached
-    :class:`~repro.graph.CompiledProgram` and re-executes it — no passes
-    re-run, and solution *and* cycles are bit-identical to a cold
-    compile.  An explicit ``device`` disables caching (the cached shards
-    live on a cache-owned device).  Repeated-solve callers should prefer
-    :class:`~repro.solvers.session.SolverSession` /
-    :func:`~repro.solvers.session.solve_many`.
+    (``docs/performance.md``): ``True`` for the process-wide
+    :class:`~repro.solvers.session.ProgramCache`, or your own instance.  A
+    hit rebinds ``b``/``x0`` and re-executes the cached program — no passes
+    re-run, bit-identical solution *and* cycles.  An explicit ``device``
+    disables caching.  Repeated-solve callers should prefer
+    :class:`~repro.solvers.session.SolverSession`.
     """
-    from repro.faults import FaultInjector, FaultPlan
-    from repro.telemetry import MetricsRegistry, Tracer, WallTracer
-
-    t_wall0 = time.perf_counter()
-
-    tracer = None
-    trace_path = None
-    if isinstance(trace, Tracer):
-        tracer = trace
-    elif isinstance(trace, (str, Path)):
-        tracer, trace_path = Tracer(), trace
-    elif trace:
-        tracer = Tracer()
-
-    mreg = None
-    metrics_path = None
-    if isinstance(metrics, MetricsRegistry):
-        mreg = metrics
-    elif isinstance(metrics, (str, Path)):
-        mreg, metrics_path = MetricsRegistry(), metrics
-    elif metrics:
-        mreg = MetricsRegistry()
-
-    wtracer = None
-    wall_path = None
-    if isinstance(wall_trace, WallTracer):
-        wtracer = wall_trace
-        if mreg is not None and wtracer.metrics is None:
-            wtracer.metrics = mreg
-    elif isinstance(wall_trace, (str, Path)):
-        wtracer, wall_path = WallTracer(metrics=mreg), wall_trace
-    elif wall_trace:
-        wtracer = WallTracer(metrics=mreg)
-    elif mreg is not None:
-        # Metrics alone still want the per-kernel wall series; an internal
-        # tracer feeds the registry (and the result's wall_profile).
-        wtracer = WallTracer(metrics=mreg)
-
-    stride = max(1, int(progress_every))
-    deadline = None if max_wall_seconds is None else float(max_wall_seconds)
-    if deadline is not None and deadline <= 0:
-        raise ReproError(f"max_wall_seconds must be > 0, got {max_wall_seconds!r}")
-
-    def _progress(iteration: int, relative_residual: float, active: int) -> None:
-        wall = time.perf_counter() - t_wall0
-        if deadline is not None and wall > deadline:
-            # Cooperative cancellation: raised from the per-iteration record
-            # callback, it unwinds the engine mid-solve on any backend.  The
-            # partial SolveStats record is attached by the handler below.
-            raise JobTimeoutError(
-                solver=None, iteration=iteration, wall_seconds=wall,
-                budget_seconds=deadline,
-            )
-        if iteration % stride:
-            return
-        if mreg is not None:
-            mreg.gauge("repro_solve_iteration", "latest recorded iteration").set(iteration)
-            mreg.gauge(
-                "repro_solve_relative_residual", "latest tracked relative residual"
-            ).set(relative_residual)
-            mreg.gauge(
-                "repro_solve_active_columns", "RHS columns still iterating"
-            ).set(active)
-        if on_progress is not None:
-            on_progress(SolveProgress(iteration, relative_residual, wall, active))
-
-    progress_hook = (
-        _progress
-        if (on_progress is not None or mreg is not None or deadline is not None)
-        else None
+    obs = _Observers(trace, wall_trace, metrics, on_progress, progress_every,
+                     max_wall_seconds)
+    req = _Request(
+        matrix, b, config, x0, inject_faults, resilience, cache, device,
+        num_tiles=num_tiles, optimize=optimize, backend=backend,
+        layout=dict(num_ipus=num_ipus, tiles_per_ipu=tiles_per_ipu,
+                    grid_dims=grid_dims, blockwise_halo=blockwise_halo),
     )
+    return _assemble(req, obs, _run_with_recovery(req, obs))
 
-    def _deadline_tick(iteration: int) -> None:
-        # The budget check alone, fired on *every* iteration of *every*
-        # solver in the tree — nested inner solves (an MPIR refinement
-        # burst) and ``record_history=False`` loops included — so the
-        # overshoot past ``max_wall_seconds`` is bounded by one iteration,
-        # not one root record or one whole inner burst.
-        wall = time.perf_counter() - t_wall0
-        if wall > deadline:
-            raise JobTimeoutError(
-                solver=None, iteration=iteration, wall_seconds=wall,
-                budget_seconds=deadline,
+
+# -- stage 1: normalize the request and its observers -----------------------------------
+
+def validate_arrays(matrix, b, x0=None) -> np.ndarray:
+    """The one request validator, shared by :func:`solve` and serve
+    admission: a malformed ``b``/``x0`` fails here with a typed
+    :class:`~repro.errors.ReproError`, never as an untyped numpy error deep
+    in a run (or silently, as a too-long ``x0`` truncated by the host
+    write).  Returns ``b`` as float64."""
+    b_arr = np.asarray(b)
+    if b_arr.ndim not in (1, 2):
+        raise ReproError(
+            f"b must be 1-D (n,) or batched 2-D (batch, n), got shape {b_arr.shape}")
+    if b_arr.ndim == 2 and b_arr.shape[0] < 1:
+        raise ReproError("batched b needs at least one right-hand side")
+    if b_arr.shape[-1] != matrix.n:
+        raise ReproError(f"b has {b_arr.shape[-1]} entries per right-hand side "
+                         f"but the matrix has {matrix.n} rows")
+    _check_values("b", b_arr)
+    if x0 is not None:
+        x0_arr = np.asarray(x0)
+        if x0_arr.shape != b_arr.shape:
+            raise ReproError(f"x0 shape {x0_arr.shape} must match b shape {b_arr.shape}")
+        _check_values("x0", x0_arr)
+    return np.asarray(b_arr, dtype=np.float64)
+
+
+def _check_values(name: str, arr: np.ndarray) -> None:
+    if arr.dtype.kind not in "fiu":
+        raise ReproError(f"{name} must be real-numeric, got dtype {arr.dtype}")
+    if arr.dtype.kind == "f" and not np.isfinite(arr).all():
+        raise ReproError(f"{name} contains non-finite values")
+
+
+class _Request:
+    """A validated :func:`solve` request: parsed fault plan and resilience
+    spec, float64 right-hand side(s), and the cache to use."""
+
+    def __init__(self, matrix, b, config, x0, inject_faults, resilience, cache,
+                 device, *, num_tiles, optimize, backend, layout):
+        from repro.faults import FaultPlan
+
+        self.plan = FaultPlan.parse(inject_faults) if inject_faults is not None else None
+        self.rconfig = ResilienceConfig.parse(resilience)
+        self.b64 = validate_arrays(matrix, b, x0)
+        self.batch = self.b64.shape[0] if self.b64.ndim == 2 else 1
+        if self.batch > 1:
+            # The resilience driver's checkpoint/restore and the fault
+            # injector's corruption sites are written against single-RHS
+            # shards; fail loudly instead of corrupting a batched solve.
+            if self.plan is not None:
+                raise ReproError("fault injection does not support batched solves (batch > 1)")
+            if self.rconfig is not None:
+                raise ReproError("resilience does not support batched solves (batch > 1)")
+        self.pcache = resolve_cache(cache)
+        if device is not None:
+            # A caller-owned device would end up holding cache-owned
+            # shards; every entry builds on a fresh device instead.
+            self.pcache = None
+        self.matrix, self.config, self.x0, self.device = matrix, config, x0, device
+        self.num_tiles, self.optimize, self.backend = num_tiles, optimize, backend
+        self.layout = layout  # num_ipus, tiles_per_ipu, grid_dims, blockwise_halo
+
+
+def _sink(spec, cls):
+    """The sink grammar of ``trace``/``wall_trace``/``metrics``: an instance
+    records into itself, a path gets a fresh instance plus an export path,
+    any other truthy value a fresh instance.  Returns ``(instance, path)``."""
+    if isinstance(spec, cls):
+        return spec, None
+    if isinstance(spec, (str, Path)):
+        return cls(), spec
+    return (cls(), None) if spec else (None, None)
+
+
+class _Observers:
+    """Everything that watches a solve without changing it — cycle tracer,
+    wall tracer, metrics, progress hook, deadline — and their exports."""
+
+    def __init__(self, trace, wall_trace, metrics, on_progress, progress_every,
+                 max_wall_seconds):
+        from repro.telemetry import MetricsRegistry, Tracer, WallTracer
+
+        self.t0 = time.perf_counter()
+        self.tracer, self.trace_path = _sink(trace, Tracer)
+        self.metrics, self.metrics_path = _sink(metrics, MetricsRegistry)
+        self.wall, self.wall_path = _sink(wall_trace, WallTracer)
+        if self.metrics is not None:
+            # Metrics alone still want the per-kernel wall series; an
+            # internal tracer feeds the registry (and the wall_profile).
+            if self.wall is None:
+                self.wall = WallTracer()
+            if self.wall.metrics is None:
+                self.wall.metrics = self.metrics
+        self.on_progress = on_progress
+        self.stride = max(1, int(progress_every))
+        self.deadline = None if max_wall_seconds is None else float(max_wall_seconds)
+        if self.deadline is not None and self.deadline <= 0:
+            raise ReproError(f"max_wall_seconds must be > 0, got {max_wall_seconds!r}")
+
+    def check_budget(self, iteration: int) -> None:
+        """The one deadline check.  Installed as ``stats.tick`` on every
+        solver in the tree, so the overshoot is bounded by one iteration;
+        the error unwinds the engine mid-solve on any backend."""
+        wall = time.perf_counter() - self.t0
+        if self.deadline is not None and wall > self.deadline:
+            raise JobTimeoutError(iteration=iteration, wall_seconds=wall,
+                                  budget_seconds=self.deadline)
+
+    def _gauges(self, *rows) -> None:
+        for name, help_, value in rows:
+            self.metrics.gauge(name, help_).set(value)
+
+    def _progress(self, iteration: int, relative_residual: float, active: int) -> None:
+        if iteration % self.stride:
+            return
+        if self.metrics is not None:
+            self._gauges(
+                ("repro_solve_iteration", "latest recorded iteration", iteration),
+                ("repro_solve_relative_residual", "latest tracked relative residual",
+                 relative_residual),
+                ("repro_solve_active_columns", "RHS columns still iterating", active),
             )
+        if self.on_progress is not None:
+            wall = time.perf_counter() - self.t0
+            self.on_progress(SolveProgress(iteration, relative_residual, wall, active))
 
-    plan = FaultPlan.parse(inject_faults) if inject_faults is not None else None
-    rconfig = ResilienceConfig.parse(resilience)
-    b64 = np.asarray(b, dtype=np.float64)
-    if b64.ndim not in (1, 2):
-        raise ReproError(f"b must be 1-D (n,) or batched 2-D (batch, n), got shape {b64.shape}")
-    if b64.shape[-1] != matrix.n:
-        raise ReproError(f"b has {b64.shape[-1]} rows but the matrix has {matrix.n}")
-    batch = b64.shape[0] if b64.ndim == 2 else 1
-    if batch > 1:
-        # The resilience driver's checkpoint/restore and the fault
-        # injector's corruption sites are written against single-RHS
-        # shards; fail loudly instead of corrupting a batched solve.
-        if plan is not None:
-            raise ReproError("fault injection does not support batched solves (batch > 1)")
-        if rconfig is not None:
-            raise ReproError("resilience does not support batched solves (batch > 1)")
-        if x0 is not None and np.asarray(x0).shape != b64.shape:
-            raise ReproError(
-                f"batched x0 must match b's shape {b64.shape}, "
-                f"got {np.asarray(x0).shape}"
+    def attach(self, solver) -> None:
+        """Hook a freshly acquired solver tree (after ``prepare()``, which
+        clears the hooks), then bail if the build ate the whole budget."""
+        if self.on_progress is not None or self.metrics is not None:
+            solver.stats.progress = self._progress
+        if self.deadline is not None:
+            for member in solver.iter_tree():
+                member.stats.tick = self.check_budget
+            self.check_budget(solver.stats.total_iterations)
+
+    def rollback(self, monitor, sig, cycle: int) -> None:
+        """Roll ``monitor`` back to its checkpoint and trace the event."""
+        rec = monitor.rollback(sig, cycle)
+        if self.tracer is not None:
+            self.tracer.instant("rollback", "fault", {
+                "reason": rec.reason, "iteration": rec.iteration,
+                "restored_iteration": rec.restored_iteration,
+                "attempt": len(monitor.rollbacks)}, ts=cycle)
+
+    def finish(self, backend: str, iterations: int, rel: float) -> float:
+        """Write the wall trace and metrics; return the solve's wall seconds."""
+        if self.wall_path is not None:
+            self.wall.to_chrome(self.wall_path)
+        wall_seconds = time.perf_counter() - self.t0
+        if self.metrics is not None:
+            self.metrics.counter("repro_solves_total", "completed solve() calls").inc(
+                1, backend=backend)
+            self._gauges(
+                ("repro_solve_wall_seconds", "wall seconds of the last solve call",
+                 wall_seconds),
+                ("repro_solve_iterations", "iterations of the last solve", iterations),
+                ("repro_solve_final_relative_residual", "true relative residual (f64)", rel),
             )
-    pcache = resolve_cache(cache)
-    if device is not None:
-        # A caller-owned device would end up holding cache-owned shards;
-        # every entry builds on a fresh device instead.
-        pcache = None
+            if self.metrics_path is not None:
+                self.metrics.write(self.metrics_path)
+        return wall_seconds
 
-    monitors: list[ResilienceMonitor] = []
-    prior_records: list = []
-    prior_cycles = 0
-    restarts = 0
-    carried_iterations = 0
+
+# -- stage 2: acquire a program ----------------------------------------------------------
+
+def _acquire(req: _Request, obs: _Observers, num_tiles, device, x0) -> CompiledSolve:
+    """A cache hit rebound to ``b``/``x0``, or a fresh build and lowering
+    (captured into the cache when one is active)."""
+    pcache, entry = req.pcache, None
+    if pcache is not None:
+        key = fingerprint_solve(
+            req.matrix, req.config, num_tiles=num_tiles, optimize=req.optimize,
+            backend=req.backend, resilient=req.rconfig is not None, batch=req.batch,
+            **req.layout)
+        entry = pcache.get(key)
+    if entry is None:
+        monitor = ResilienceMonitor(req.rconfig) if req.rconfig is not None else None
+        t_build = time.perf_counter()
+        ctx, solver, xvec, bvec, built = _build_program(
+            req.matrix, req.b64, req.config, num_tiles=num_tiles, device=device,
+            # Under caching x0 is bound via prepare() below, so the
+            # snapshotted initial image stays x0-free (x = 0).
+            x0=None if pcache is not None else x0,
+            monitor=monitor, batch=req.batch, **req.layout)
+        compiled = ctx.compile(optimize=req.optimize)
+        if pcache is None:
+            return CompiledSolve(None, ctx, solver, xvec, bvec, built, compiled, monitor)
+        entry = CompiledSolve.capture(key, ctx, solver, xvec, bvec, built, compiled,
+                                      monitor=monitor,
+                                      build_seconds=time.perf_counter() - t_build)
+        pcache.put(key, entry)
+    # Rebind host values into the cached artifact — no symbolic execution,
+    # no compiler passes.
+    entry.prepare(req.b64, x0=x0, rconfig=req.rconfig)
+    if obs.tracer is not None:
+        obs.tracer.instant("compile_cache", "compile", {
+            "event": "hit" if entry.runs > 1 else "miss", **pcache.stats()}, ts=0)
+    return entry
+
+
+# -- stage 3: run with recovery ----------------------------------------------------------
+
+@dataclass
+class _Run:
+    """What executing a request produced, across rollbacks and restarts."""
+
+    program: CompiledSolve | None = None  # the attempt that finished
+    injector: object = None
+    aborted: str | None = None  # why the rollback budget ran out, if it did
+    engines: list = field(default_factory=list)  # every engine launched
+    monitors: list = field(default_factory=list)
+    prior_records: list = field(default_factory=list)  # abandoned attempts' faults
+    prior_cycles: int = 0
+    restarts: int = 0
+    carried_iterations: int = 0
+
+    @property
+    def kernel_counters(self) -> dict | None:
+        """Summed over every engine of the solve; None off kernel backends."""
+        tallies = [e.kernel_counters for e in self.engines]
+        if tallies[-1] is None:
+            return None
+        return {k: sum(t[k] for t in tallies) for k in tallies[-1]}
+
+
+def _solution(prog: CompiledSolve) -> np.ndarray:
+    """``x`` in original row order — the extended-precision copy if kept."""
+    x_ext = getattr(prog.solver, "x_ext", None)
+    return (x_ext if x_ext is not None else prog.xvec).read_global()
+
+
+def _run_with_recovery(req: _Request, obs: _Observers) -> _Run:
+    """Acquire and execute the program, absorbing detected faults by
+    rollback and SRAM overflows by rebuilding on fewer tiles."""
+    from repro.faults import FaultInjector
+
+    run = _Run()
+    x0, num_tiles, device = req.x0, req.num_tiles, req.device
     disabled: set[str] = set()
-    cur_tiles = num_tiles
-    cur_device = device
-    aborted: str | None = None
-    # Delta over the whole solve (restarts included) — the counters are
-    # process-global, so concurrent engines would fold into one delta.
-    with GlobalCounters.track() as kernel_track:
-        while True:
-            monitor = None
-            injector = None
-            built_device = None
-            entry = None
-            try:
-                if pcache is not None:
-                    key = fingerprint_solve(
-                        matrix,
-                        config,
-                        num_ipus=num_ipus,
-                        tiles_per_ipu=tiles_per_ipu,
-                        num_tiles=cur_tiles,
-                        grid_dims=grid_dims,
-                        blockwise_halo=blockwise_halo,
-                        optimize=optimize,
-                        backend=backend,
-                        resilient=rconfig is not None,
-                        batch=batch,
-                    )
-                    entry = pcache.get(key)
-                if entry is not None:
-                    # Cache hit: rebind host values into the cached artifact and
-                    # re-execute — no symbolic execution, no compiler passes.
-                    entry.prepare(b64, x0=x0, rconfig=rconfig)
-                    ctx, solver, xvec, bvec = entry.ctx, entry.solver, entry.xvec, entry.bvec
-                    built_device, compiled, monitor = entry.device, entry.compiled, entry.monitor
-                else:
-                    monitor = ResilienceMonitor(rconfig) if rconfig is not None else None
-                    t_build = time.perf_counter()
-                    ctx, solver, xvec, bvec, built_device = _build_program(
-                        matrix,
-                        b,
-                        config,
-                        num_ipus=num_ipus,
-                        tiles_per_ipu=tiles_per_ipu,
-                        num_tiles=cur_tiles,
-                        grid_dims=grid_dims,
-                        # Under caching x0 is bound via prepare() below, so the
-                        # snapshotted initial image stays x0-free (x = 0).
-                        x0=None if pcache is not None else x0,
-                        device=cur_device,
-                        blockwise_halo=blockwise_halo,
-                        monitor=monitor,
-                        batch=batch,
-                    )
-                    compiled = ctx.compile(optimize=optimize)
-                    if pcache is not None:
-                        entry = CompiledSolve.capture(
-                            key, ctx, solver, xvec, bvec, built_device, compiled,
-                            monitor=monitor,
-                            build_seconds=time.perf_counter() - t_build,
-                        )
-                        pcache.put(key, entry)
-                        entry.prepare(b64, x0=x0, rconfig=rconfig)
-                if tracer is not None and pcache is not None:
-                    tracer.instant(
-                        "compile_cache",
-                        "compile",
-                        {"event": "hit" if entry.runs > 1 else "miss", **pcache.stats()},
-                        ts=0,
-                    )
-                if plan is not None:
-                    injector = FaultInjector(plan, disabled=frozenset(disabled))
-                if progress_hook is not None:
-                    # After prepare()/reset(): a cache hit clears the hook
-                    # along with the rest of the stats record.
-                    solver.stats.progress = progress_hook
-                if deadline is not None:
-                    for member in solver.iter_tree():
-                        member.stats.tick = _deadline_tick
-                if deadline is not None:
-                    # The build itself may have eaten the whole budget; bail
-                    # before launching the engine rather than one iteration in.
-                    wall = time.perf_counter() - t_wall0
-                    if wall > deadline:
-                        raise JobTimeoutError(
-                            iteration=solver.stats.total_iterations,
-                            wall_seconds=wall, budget_seconds=deadline,
-                        )
-                engine = Engine(compiled, backend=backend, tracer=tracer,
-                                injector=injector, wall_tracer=wtracer)
-                if monitor is not None:
-                    monitor.baseline()
-                aborted = None
-                while True:
-                    try:
-                        engine.run()
-                    except RollbackSignal as sig:
-                        cycle = built_device.profiler.total_cycles
-                        if not monitor.budget_left():
-                            aborted = sig.reason
-                            monitor.restore_state()  # leave the best-known iterate in x
-                            break
-                        rec = monitor.rollback(sig, cycle)
-                        if tracer is not None:
-                            tracer.instant(
-                                "rollback",
-                                "fault",
-                                {
-                                    "reason": rec.reason,
-                                    "iteration": rec.iteration,
-                                    "restored_iteration": rec.restored_iteration,
-                                    "attempt": len(monitor.rollbacks),
-                                },
-                                ts=cycle,
-                            )
-                        continue
-                    if monitor is None or injector is None:
-                        break
-                    # Injected faults can corrupt a Krylov recurrence without
-                    # tripping any device-side check — the tracked residual
-                    # converges while the true residual does not.  Verify on the
-                    # host and treat a miss as one more detection event.
-                    tolv = getattr(solver, "tol", None)
-                    if tolv is None:
-                        break
-                    if getattr(solver, "x_ext", None) is not None:
-                        xv = solver.x_ext.read_global()
-                    else:
-                        xv = xvec.read_global()
-                    bn_ = np.linalg.norm(b64)
-                    rel_ = float(np.linalg.norm(matrix.spmv(xv) - b64) / bn_) if bn_ > 0 else 0.0
-                    if rel_ <= tolv * 10 or solver.classify_failure(engine) is not None:
-                        break  # good enough — or already failed for a named reason
-                    sig = RollbackSignal("silent_corruption", solver.stats.total_iterations)
-                    cycle = built_device.profiler.total_cycles
-                    if not monitor.budget_left():
-                        aborted = "silent_corruption"
-                        break
-                    rec = monitor.rollback(sig, cycle)
-                    if tracer is not None:
-                        tracer.instant(
-                            "rollback",
-                            "fault",
-                            {
-                                "reason": rec.reason,
-                                "iteration": rec.iteration,
-                                "restored_iteration": rec.restored_iteration,
-                                "attempt": len(monitor.rollbacks),
-                            },
-                            ts=cycle,
-                        )
-            except JobTimeoutError as exc:
-                # Deadline fired from inside the engine (or just before it),
-                # so ``solver`` exists: hand the caller the partial
-                # convergence record with the typed error.
-                exc.solver = solver.name
-                exc.stats = solver.stats.copy()
+    while True:
+        prog = injector = None
+        try:
+            prog = _acquire(req, obs, num_tiles, device, x0)
+            if req.plan is not None:
+                injector = FaultInjector(req.plan, disabled=frozenset(disabled))
+            obs.attach(prog.solver)
+            engine = Engine(prog.compiled, backend=req.backend, tracer=obs.tracer,
+                            injector=injector, wall_tracer=obs.wall)
+            run.engines.append(engine)
+            run.aborted = _execute(req, obs, prog, engine, injector)
+        except JobTimeoutError as exc:
+            # Fired inside the engine (or just before it): hand the caller
+            # the partial convergence record with the typed error.
+            exc.solver, exc.stats = prog.solver.name, prog.solver.stats.copy()
+            raise
+        except SRAMOverflowError:
+            if req.rconfig is None or not req.rconfig.degrade_on_oom:
                 raise
-            except SRAMOverflowError:
-                if rconfig is None or not rconfig.degrade_on_oom:
-                    raise
-                if monitor is not None:
-                    monitors.append(monitor)
-                    # Warm-start the rebuilt program from the best checkpointed
-                    # iterate instead of discarding all converged progress.
-                    warm_x, warm_it = monitor.best_solution()
+            have = num_tiles if num_tiles is not None else min(req.matrix.n, (
+                device.num_tiles if device is not None
+                else req.layout["num_ipus"] * req.layout["tiles_per_ipu"]))
+            want = max(req.rconfig.min_tiles, have // 2)
+            if want >= have:
+                raise  # cannot shrink further — give up
+            if prog is not None:
+                run.prior_cycles += prog.device.profiler.total_cycles
+                if obs.tracer is not None:
+                    # The rebuild's fresh device clock restarts at zero;
+                    # keep the trace timeline monotone.
+                    obs.tracer.shift_clock(prog.device.profiler.total_cycles)
+                if prog.monitor is not None:
+                    run.monitors.append(prog.monitor)
+                    # Warm-start the rebuild from the best checkpointed
+                    # iterate instead of discarding converged progress.
+                    warm_x, warm_it = prog.monitor.best_solution()
                     if warm_x is not None and warm_it > 0:
                         x0 = warm_x
-                        carried_iterations += warm_it
-                if injector is not None:
-                    prior_records.extend(injector.records)
-                if built_device is not None:
-                    prior_cycles += built_device.profiler.total_cycles
-                    if tracer is not None:
-                        # The rebuilt program runs on a fresh device whose clock
-                        # restarts at zero; keep the trace timeline monotone.
-                        tracer.shift_clock(built_device.profiler.total_cycles)
-                have = cur_tiles
-                if have is None:
-                    n_dev = (
-                        cur_device.num_tiles if cur_device is not None else num_ipus * tiles_per_ipu
-                    )
-                    have = min(n_dev, matrix.n)
-                want = max(rconfig.min_tiles, have // 2)
-                if want >= have:
-                    raise  # cannot shrink further — give up
-                # Graceful degradation: rebuild on fewer tiles (more rows per
-                # tile, larger per-tile shards is fine — the overflow here is
-                # per-shard count / injected, not aggregate capacity) and don't
-                # re-fire injected OOMs against the degraded build.
-                disabled.add("tile_oom")
-                restarts += 1
-                cur_tiles = want
-                cur_device = None  # always rebuild on a fresh device
-                continue
-            else:
-                if monitor is not None:
-                    monitors.append(monitor)
-                break
+                        run.carried_iterations += warm_it
+            if injector is not None:
+                run.prior_records.extend(injector.records)
+            # Graceful degradation: rebuild on fewer, larger tiles (the
+            # overflow is per-shard count / injected, not aggregate
+            # capacity) on a fresh device, and don't re-fire injected OOMs.
+            disabled.add("tile_oom")
+            run.restarts += 1
+            num_tiles, device = want, None
+            continue
+        if prog.monitor is not None:
+            run.monitors.append(prog.monitor)
+        run.program, run.injector = prog, injector
+        return run
 
-    # Prefer the extended-precision solution when the solver kept one.
-    if getattr(solver, "x_ext", None) is not None:
-        x = solver.x_ext.read_global()
-    else:
-        x = xvec.read_global()
-    if b64.ndim == 2 and np.asarray(x).ndim == 1:
-        # A (1, n) batch runs the classic single-RHS program, but 2-D in
-        # means 2-D out.
-        x = np.asarray(x).reshape(1, -1)
 
-    # Both the residual and its normalization in f64: ``np.linalg.norm(b)``
-    # in the caller's dtype (e.g. float32) accumulates in that precision and
-    # skews the reported relative residual near tight tolerances.
-    def _true_residual(xj, bj):
-        resid = matrix.spmv(xj) - bj
-        bn = np.linalg.norm(bj)
-        return float(np.linalg.norm(resid) / bn) if bn > 0 else float(np.linalg.norm(resid))
+def _execute(req: _Request, obs: _Observers, prog: CompiledSolve, engine,
+             injector) -> str | None:
+    """Run the engine to completion, rolling back to the last checkpoint on
+    each detected fault; returns why the rollback budget ran out, or None."""
+    monitor = prog.monitor
+    if monitor is not None:
+        monitor.baseline()
+    while True:
+        try:
+            engine.run()
+        except RollbackSignal as sig:
+            if not monitor.budget_left():
+                monitor.restore_state()  # leave the best-known iterate in x
+                return sig.reason
+            obs.rollback(monitor, sig, prog.device.profiler.total_cycles)
+            continue
+        if monitor is None or injector is None:
+            return None
+        # Injected faults can corrupt a Krylov recurrence without tripping
+        # any device-side check — the tracked residual converges while the
+        # true residual does not.  A host-side miss is one more detection.
+        tol = getattr(prog.solver, "tol", None)
+        if tol is None:
+            return None
+        bn = np.linalg.norm(req.b64)
+        resid = np.linalg.norm(req.matrix.spmv(_solution(prog)) - req.b64)
+        if (float(resid / bn) if bn > 0 else 0.0) <= tol * 10:
+            return None
+        if prog.solver.classify_failure(engine) is not None:
+            return None  # already failed for a named reason
+        if not monitor.budget_left():
+            return "silent_corruption"
+        sig = RollbackSignal("silent_corruption", prog.solver.stats.total_iterations)
+        obs.rollback(monitor, sig, prog.device.profiler.total_cycles)
 
-    if batch > 1:
-        relative_residuals = [_true_residual(x[j], b64[j]) for j in range(batch)]
+
+# -- stage 4: assemble the result --------------------------------------------------------
+
+def _true_residual(matrix, xj, bj) -> float:
+    # Residual and normalization both in f64: a float32 ``norm(b)`` would
+    # skew the reported relative residual near tight tolerances.
+    resid = np.linalg.norm(matrix.spmv(xj) - bj)
+    bn = np.linalg.norm(bj)
+    return float(resid / bn) if bn > 0 else float(resid)
+
+
+def _resilience_report(req: _Request, run: _Run, failure) -> ResilienceReport:
+    solver = run.program.solver
+    records = run.prior_records + (
+        list(run.injector.records) if run.injector is not None else [])
+    rollbacks = [rb for m in run.monitors for rb in m.rollbacks]
+    iters_observed = sum(m.iterations_observed for m in run.monitors)
+    iterations = solver.stats.total_iterations
+    outcome = ("failed" if failure is not None else "degraded" if run.restarts
+               else "recovered" if rollbacks else "clean")
+    return ResilienceReport(
+        enabled=req.rconfig is not None,
+        outcome=outcome,
+        failure=failure,
+        faults_injected=len(records),
+        faults_by_kind=dict(Counter(r.kind for r in records)),
+        checkpoints=sum(m.checkpoints for m in run.monitors),
+        rollbacks=len(rollbacks),
+        rollback_reasons=[rb.reason for rb in rollbacks],
+        restarts=run.restarts,
+        iterations=iterations,
+        extra_iterations=max(0, iters_observed - iterations) if run.monitors else 0,
+        carried_iterations=run.carried_iterations,
+        final_num_tiles=len(solver.A.tiles),
+    )
+
+
+def _assemble(req: _Request, obs: _Observers, run: _Run) -> SolveResult:
+    """Residuals, failure classification, the resilience report, exports,
+    metrics, and the :class:`SolveResult`."""
+    prog, engine = run.program, run.engines[-1]
+    solver, device = prog.solver, prog.device
+    x = _solution(prog)
+    if req.b64.ndim == 2 and x.ndim == 1:
+        x = x.reshape(1, -1)  # a (1, n) batch runs the single-RHS program
+    relative_residuals = None
+    if req.batch > 1:
+        relative_residuals = [
+            _true_residual(req.matrix, x[j], req.b64[j]) for j in range(req.batch)]
         rel = max(relative_residuals)
     else:
-        relative_residuals = None
-        rel = _true_residual(np.ravel(x), np.ravel(b64))
+        rel = _true_residual(req.matrix, np.ravel(x), np.ravel(req.b64))
 
-    failure = aborted if aborted is not None else solver.classify_failure(engine)
+    failure = run.aborted if run.aborted is not None else solver.classify_failure(engine)
     solver.stats.failure = failure
-
     report = None
-    if rconfig is not None or plan is not None:
-        records = prior_records + (list(injector.records) if injector is not None else [])
-        rollbacks = [rb for m in monitors for rb in m.rollbacks]
-        iters_observed = sum(m.iterations_observed for m in monitors)
-        if failure is not None:
-            outcome = "failed"
-        elif restarts:
-            outcome = "degraded"
-        elif rollbacks:
-            outcome = "recovered"
-        else:
-            outcome = "clean"
-        report = ResilienceReport(
-            enabled=rconfig is not None,
-            outcome=outcome,
-            failure=failure,
-            faults_injected=len(records),
-            faults_by_kind=dict(Counter(r.kind for r in records)),
-            checkpoints=sum(m.checkpoints for m in monitors),
-            rollbacks=len(rollbacks),
-            rollback_reasons=[rb.reason for rb in rollbacks],
-            restarts=restarts,
-            iterations=solver.stats.total_iterations,
-            extra_iterations=(
-                max(0, iters_observed - solver.stats.total_iterations) if monitors else 0
-            ),
-            carried_iterations=carried_iterations,
-            final_num_tiles=len(solver.A.tiles),
-        )
-
-    if tracer is not None:
-        tracer.convergence(solver.stats)
+    if req.rconfig is not None or req.plan is not None:
+        report = _resilience_report(req, run, failure)
+    if obs.tracer is not None:
+        obs.tracer.convergence(solver.stats)
         if report is not None:
-            tracer.resilience(report)
-        if trace_path is not None:
-            tracer.to_chrome(trace_path)
-
-    if rconfig is not None and rconfig.raise_on_failure and failure is not None:
+            obs.tracer.resilience(report)
+        if obs.trace_path is not None:
+            obs.tracer.to_chrome(obs.trace_path)
+    if req.rconfig is not None and req.rconfig.raise_on_failure and failure is not None:
         if failure == "breakdown":
             raise SolverBreakdownError(
-                f"{solver.name}: Krylov breakdown (|rho| ~ 0)",
-                solver=solver.name,
-                iteration=solver.stats.total_iterations,
-            )
+                f"{solver.name}: Krylov breakdown (|rho| ~ 0)", solver=solver.name,
+                iteration=solver.stats.total_iterations)
         raise DivergenceError(
             f"{solver.name}: failed to reach tol={getattr(solver, 'tol', None)}",
-            solver=solver.name,
-            reason=failure,
-        )
+            solver=solver.name, reason=failure)
 
-    prof = built_device.profiler
-    total_cycles = prior_cycles + prof.total_cycles
+    total_cycles = run.prior_cycles + device.profiler.total_cycles
     batch_stats = getattr(solver, "batch_stats", None)
-    if batch_stats is not None and pcache is not None:
+    if batch_stats is not None and req.pcache is not None:
         batch_stats = [st.copy() for st in batch_stats]
-
-    if wtracer is not None and wall_path is not None:
-        wtracer.to_chrome(wall_path)
-    wall_seconds = time.perf_counter() - t_wall0
-    if mreg is not None:
-        mreg.counter("repro_solves_total", "completed solve() calls").inc(
-            1, backend=engine.backend.name
-        )
-        mreg.gauge(
-            "repro_solve_wall_seconds", "wall seconds of the last solve call"
-        ).set(wall_seconds)
-        mreg.gauge(
-            "repro_solve_iterations", "iterations of the last solve"
-        ).set(solver.stats.total_iterations)
-        mreg.gauge(
-            "repro_solve_final_relative_residual", "true relative residual (f64)"
-        ).set(rel)
-        if metrics_path is not None:
-            mreg.write(metrics_path)
-
+    wall_seconds = obs.finish(engine.backend.name, solver.stats.total_iterations, rel)
     return SolveResult(
         x=x,
         # Detach the stats under caching: the next hit resets them in place.
-        stats=solver.stats.copy() if pcache is not None else solver.stats,
-        batch=batch,
+        stats=solver.stats.copy() if req.pcache is not None else solver.stats,
+        batch=req.batch,
         batch_stats=batch_stats,
         relative_residuals=relative_residuals,
         cycles=total_cycles,
-        seconds=built_device.seconds(total_cycles),
-        energy_j=built_device.energy_j(total_cycles),
+        seconds=device.seconds(total_cycles),
+        energy_j=device.energy_j(total_cycles),
         relative_residual=rel,
-        profile=prof.fractions(),
+        profile=device.profiler.fractions(),
         engine=engine,
         solver=solver,
-        compiled=compiled,
+        compiled=prog.compiled,
         backend=engine.backend.name,
-        telemetry=tracer,
+        telemetry=obs.tracer,
         resilience=report,
-        kernel_counters=(
-            kernel_track if getattr(engine.backend, "uses_kernels", False) else None
-        ),
+        kernel_counters=run.kernel_counters,
         wall_seconds=wall_seconds,
-        wall_profile=wtracer.profile() if wtracer is not None else None,
-        wall_telemetry=wtracer,
-        metrics=mreg,
+        wall_profile=obs.wall.profile() if obs.wall is not None else None,
+        wall_telemetry=obs.wall,
+        metrics=obs.metrics,
     )

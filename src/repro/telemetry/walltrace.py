@@ -2,7 +2,7 @@
 
 The cycle-domain :class:`~repro.telemetry.tracer.Tracer` only works on the
 sim backend — the ``fast``/``fused`` backends have no cycle clock, which
-left them observably blind beyond the five :class:`GlobalCounters`
+left them observably blind beyond the five ``Engine.kernel_counters``
 integers.  The ``WallTracer`` closes that gap: attached through
 ``Backend.set_wall_tracer`` (every backend accepts it), it records one
 ``perf_counter_ns`` span per fused-kernel launch and per non-kernel

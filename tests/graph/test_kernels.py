@@ -3,11 +3,15 @@
 Covers the lowering contract end to end: random expression graphs are
 bit-identical between sim and fused (hypothesis), every solver family is
 bit-identical, the CG inner loop lowers to a bounded number of kernel
-launches (statically via :class:`KernelSchedule` and dynamically via
-:class:`GlobalCounters`), the session cache keys fast and fused apart and
+launches (statically via :class:`KernelSchedule` and dynamically via the
+engine's per-run ``kernel_counters``), the session cache keys fast and fused apart and
 replays fused hits bit-identically, and both untimed backends reject the
 observability hooks with the same typed error.
 """
+
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import BackendCapabilityError
-from repro.graph import Engine, FastBackend, FusedBackend, GlobalCounters
+from repro.graph import Engine, FastBackend, FusedBackend
 from repro.graph.passes import FusedKernel
 from repro.machine import IPUDevice
 from repro.solvers import SolverSession, compile_solve, solve
@@ -200,17 +204,47 @@ def test_cg_loop_lowers_to_bounded_kernel_count():
 
 
 def test_cg_runtime_kernel_counters_bounded():
-    """Dynamic twin of the static bound: GlobalCounters must report at most
-    5 launches per executed CG iteration (plus setup), and every launch
-    exactly once."""
+    """Dynamic twin of the static bound: the solve's kernel counters must
+    report at most 5 launches per executed CG iteration (plus setup), and
+    every launch and dispatch exactly once — checked against an independent
+    count, the wall tracer's spans of the same solve."""
     crs, dims = poisson3d(8)
-    with GlobalCounters.track() as delta:
-        res = solve(crs, np.ones(crs.n), CG, grid_dims=dims, num_ipus=2,
-                    tiles_per_ipu=4, backend="fused")
-    assert res.kernel_counters == delta
-    assert delta["kernels"] <= 5 * res.iterations + 10
-    assert delta["dispatches"] >= delta["kernels"]
-    assert delta["fused_compute_sets"] + delta["fused_exchanges"] > delta["kernels"]
+    res = solve(crs, np.ones(crs.n), CG, grid_dims=dims, num_ipus=2,
+                tiles_per_ipu=4, backend="fused", wall_trace=True)
+    kc = res.kernel_counters
+    spans = [e for e in res.wall_telemetry.events
+             if getattr(e, "cat", None) in ("kernel", "compute", "exchange")]
+    assert kc["kernels"] == sum(1 for e in spans if e.cat == "kernel")
+    assert kc["dispatches"] == len(spans)
+    assert kc["kernels"] <= 5 * res.iterations + 10
+    assert kc["dispatches"] >= kc["kernels"]
+    assert kc["fused_compute_sets"] + kc["fused_exchanges"] > kc["kernels"]
+
+
+def test_concurrent_fused_solves_report_their_solo_counters():
+    """Kernel counters are per run: N threads (more than the host's cores)
+    solving the same system at once each report exactly the counters of a
+    solo solve.  A process-wide tally folded the other threads' launches
+    into every result."""
+    crs, dims = poisson3d(8)
+    kw = dict(grid_dims=dims, num_ipus=2, tiles_per_ipu=4, backend="fused")
+    b = np.ones(crs.n)
+    solo = solve(crs, b, CG, **kw).kernel_counters
+    n = 4
+    barrier = threading.Barrier(n)
+
+    def one(_):
+        barrier.wait(timeout=60)
+        return solve(crs, b, CG, **kw).kernel_counters
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the threads' engine loops finely
+    try:
+        with ThreadPoolExecutor(max_workers=n) as pool:
+            got = list(pool.map(one, range(n), timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [solo] * n
 
 
 def test_engine_statistics_parity_between_sim_and_fused():

@@ -218,6 +218,8 @@ class TestAdmissionValidation:
                      "real-numeric"),
                     (dict(b=np.full(CRS.n, np.nan)), "non-finite"),
                     (dict(b=good, x0=good[:-1]), "x0 shape"),
+                    (dict(b=good, x0=np.zeros(CRS.n + 3)), "x0 shape"),
+                    (dict(b=good, x0=np.zeros((2, CRS.n))), "x0 shape"),
                     (dict(b=good, deadline=-1.0), "deadline"),
                 ]
                 for kw, needle in cases:

@@ -76,6 +76,33 @@ class TestServedBitIdentity:
         assert counts["retries"] == 0
 
 
+class TestServedKernelCounters:
+    def test_two_fused_workers_report_per_job_counters(self):
+        """Two workers run fused solves of two structures concurrently;
+        every unbatched served job reports the kernel counters of a direct
+        solve of its effective config — not its neighbours' launches."""
+        rng = np.random.default_rng(5)
+        specs = [dict(b=rng.standard_normal(CRS.n), tiles_per_ipu=4 * (1 + i % 2))
+                 for i in range(6)]
+
+        async def go():
+            async with SolverService(workers=2) as svc:
+                jobs = [svc.submit(CRS, s["b"], "cg", grid_dims=DIMS,
+                                   tiles_per_ipu=s["tiles_per_ipu"],
+                                   backend="fused", tenant=f"t{i}")
+                        for i, s in enumerate(specs)]
+                return [await job.future for job in jobs]
+
+        served = run(go())
+        for spec, res in zip(specs, served):
+            assert res.batch_size == 1
+            ref = solve(CRS, spec["b"], res.effective_config, grid_dims=DIMS,
+                        tiles_per_ipu=spec["tiles_per_ipu"], backend="fused")
+            assert res.result.kernel_counters["kernels"] > 0
+            assert res.result.kernel_counters == ref.kernel_counters
+            np.testing.assert_array_equal(res.result.x, ref.x)
+
+
 class TestRetries:
     def test_retry_ladder_reaches_fallback_and_stays_reproducible(self):
         retry = RetryPolicy(max_attempts=3, base_delay=0.001,

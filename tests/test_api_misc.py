@@ -5,6 +5,7 @@ import pytest
 
 from repro.bench import print_series, print_table, save_result
 from repro.dw import softfloat
+from repro.errors import ReproError
 from repro.solvers import solve
 from repro.solvers.api import SolveResult
 from repro.sparse import poisson2d
@@ -39,6 +40,31 @@ class TestSolveResult:
         res = solve(crs, np.ones(crs.n), {"solver": "jacobi", "sweeps": 5},
                     grid_dims=dims, device=dev)
         assert res.engine.device is dev
+
+
+class TestRequestValidation:
+    """solve() runs the same request validator as serve admission: a
+    malformed b/x0 is a typed ReproError, with or without the cache."""
+
+    @pytest.mark.parametrize("cache", [None, True], ids=["uncached", "cached"])
+    @pytest.mark.parametrize(
+        "kw, needle",
+        [
+            (dict(x0=np.zeros(64 + 3)), "x0 shape"),    # was silently truncated
+            (dict(x0=np.zeros((2, 64))), "x0 shape"),   # was an untyped ValueError
+            (dict(x0=np.full(64, np.inf)), "x0 contains non-finite"),
+            (dict(b=np.full(64, np.nan)), "b contains non-finite"),
+            (dict(b=np.array(["x"] * 64, dtype=object)), "real-numeric"),
+            (dict(b=np.empty((0, 64))), "at least one"),
+        ],
+        ids=["long-x0", "2d-x0", "inf-x0", "nan-b", "object-b", "empty-batch"],
+    )
+    def test_malformed_request_is_a_typed_error(self, kw, needle, cache):
+        crs, dims = poisson2d(8)
+        args = {"b": np.ones(crs.n), **kw}
+        with pytest.raises(ReproError, match=needle):
+            solve(crs, args.pop("b"), "cg", grid_dims=dims, tiles_per_ipu=4,
+                  backend="fast", cache=cache, **args)
 
 
 class TestResidualDtype:
