@@ -25,6 +25,17 @@ summation shapes, the same ``np.add.reduceat`` segment boundaries), which
 is why ``fused`` results are bit-identical to ``sim`` — enforced by the
 property tests in ``tests/graph/test_kernels.py``.
 
+Reductions go through one helper, ``materialize.reduce_columns``, on both
+paths.  A whole-device ``(total, batch)`` value is viewed as
+``(tiles, n, batch)`` segments and copied column-major to
+``(tiles, batch, n)``, so every (tile, RHS column) pair becomes one
+contiguous row, and one ``sum/max/min(axis=-1)`` reduces them all.  That
+is bit-identical to the per-tile, per-column reduction: numpy's pairwise
+summation splits a length-n inner loop at index-based points whatever its
+stride, so a contiguous row sums exactly like the strided column it came
+from.  A plain ``sum(axis=0)`` accumulates row after row instead and
+rounds differently, which is why the transposed copy is needed.
+
 The schedule is stored on the :class:`CompiledProgram` alongside the
 per-step plans; ``sim`` and ``fast`` never look at it.
 """
@@ -350,85 +361,31 @@ def _lower_elementwise_group(spec: ElementwiseSpec, vertices):
     return op
 
 
-def _dw_tree_sum_rows(hi2d, lo2d):
-    """Row-wise double-word pairwise summation, same index pairing as the
-    per-tile ``_dw_tree_sum`` (materialize.py) — add_dw_dw is pointwise, so
-    each row's result is bit-identical to its 1-D reduction."""
-    from repro.dw import joldes
+def _reduce_segments(value, dt: str, op: str, seg, offsets, batch: int):
+    """Per-(segment, RHS column) reduction of a whole-device value.
 
-    H, L = hi2d, lo2d
-    while H.shape[1] > 1:
-        half = H.shape[1] // 2
-        h2, l2 = joldes.add_dw_dw(
-            H[:, :half], L[:, :half], H[:, half : 2 * half], L[:, half : 2 * half]
-        )
-        if H.shape[1] % 2:
-            h2 = np.concatenate([h2, H[:, -1:]], axis=1)
-            l2 = np.concatenate([l2, L[:, -1:]], axis=1)
-        H, L = h2, l2
-    return H[:, 0], L[:, 0]
-
-
-def _reduce_segments(value, dt: str, op: str, seg, offsets):
-    """Per-segment reduction matching materialize._reduce_value per segment."""
-    from repro.dw import joldes  # noqa: F401  (imported for parity with docs)
-    from repro.tensordsl.materialize import _dw_tree_sum, _reduce_value
+    Row slice ``offsets[i]:offsets[i + 1]`` of the value is tile ``i``'s
+    value, so each result is bit-identical to the per-tile codelet's (see
+    ``reduce_columns``).  Equal segments reduce in one ``(T, n, batch)``
+    call, unequal ones in one call per segment.  Returns ``(T, batch)``
+    arrays — a (hi, lo) pair for dw.
+    """
+    from repro.tensordsl.materialize import reduce_columns
     from repro.tensordsl.types import Type
 
+    paired = dt == Type.DOUBLEWORD
+    parts = [np.asarray(p).reshape(-1, batch) for p in (value if paired else (value,))]
     T = len(seg)
-    equal = T > 0 and seg[0] > 0 and bool((seg == seg[0]).all())
-    if dt == Type.DOUBLEWORD:
-        hi = np.asarray(value[0], np.float32).ravel()
-        lo = np.asarray(value[1], np.float32).ravel()
-        if equal:
-            n = int(seg[0])
-            H, L = hi.reshape(T, n), lo.reshape(T, n)
-            if op == "sum":
-                return _dw_tree_sum_rows(H, L)
-            wide = H.astype(np.float64) + L.astype(np.float64)
-            k = np.argmax(wide, axis=1) if op == "max" else np.argmin(wide, axis=1)
-            rows = np.arange(T)
-            return H[rows, k], L[rows, k]
-        res_h = np.empty(T, np.float32)
-        res_l = np.empty(T, np.float32)
-        for i in range(T):
-            a, b = offsets[i], offsets[i + 1]
-            if op == "sum":
-                res_h[i], res_l[i] = _dw_tree_sum(hi[a:b], lo[a:b])
-            else:
-                res_h[i], res_l[i] = _reduce_value((hi[a:b], lo[a:b]), dt, op)
-        return res_h, res_l
-    arr = np.asarray(value).ravel()
-    if equal:
-        n = int(seg[0])
-        m = arr.reshape(T, n)
-        if op == "sum":
-            return m.sum(axis=1, dtype=arr.dtype)
-        return m.max(axis=1) if op == "max" else m.min(axis=1)
-    res = np.empty(T, arr.dtype)
+    if T > 0 and seg[0] > 0 and bool((seg == seg[0]).all()):
+        blocks = [p.reshape(T, int(seg[0]), batch) for p in parts]
+        return reduce_columns(tuple(blocks) if paired else blocks[0], dt, op)
+    out = [np.empty((T, batch), p.dtype) for p in parts]
     for i in range(T):
-        a, b = offsets[i], offsets[i + 1]
-        if op == "sum":
-            res[i] = arr[a:b].sum(dtype=arr.dtype)
-        else:
-            res[i] = arr[a:b].max() if op == "max" else arr[a:b].min()
-    return res
-
-
-def _reduce_segments_batched(value, dt: str, op: str, seg, offsets, batch: int):
-    """Batched per-segment reduction: each (segment, RHS-column) pair runs
-    the same per-column `_reduce_value` as the per-tile batched path — a
-    row-slice of the whole-device value is the tile's value, so results are
-    bit-identical to the sim backend per RHS."""
-    from repro.tensordsl.materialize import _reduce_value_batched
-
-    T = len(seg)
-    arr = np.asarray(value)
-    res = np.empty((T, batch), arr.dtype)
-    for i in range(T):
-        a, b = int(offsets[i]), int(offsets[i + 1])
-        res[i] = _reduce_value_batched(arr[a:b], dt, op, b - a, batch)
-    return res
+        blocks = [p[offsets[i] : offsets[i + 1]] for p in parts]
+        res = reduce_columns(tuple(blocks) if paired else blocks[0], dt, op)
+        for o, r in zip(out, res if paired else (res,)):
+            o[i] = r
+    return tuple(out) if paired else out[0]
 
 
 def _lower_reduce_group(spec: ReduceSpec, vertices):
@@ -475,22 +432,22 @@ def _lower_reduce_group(spec: ReduceSpec, vertices):
     expr_dt = expr.dtype
     paired = expr_dt == Type.DOUBLEWORD
     out_hi, out_lo = out.flat_data, out.flat_lo
+    shape = (total,) if batch == 1 else (total, batch)
+    out_shape = (len(order),) if batch == 1 else (len(order), batch)
 
     def op():
         resolve, _ = _make_resolver(fetchers)
         value = eval_expr(expr, resolve)
         if paired:
-            vh = np.broadcast_to(np.asarray(value[0]), (total,))
-            vl = np.broadcast_to(np.asarray(value[1]), (total,))
-            res_h, res_l = _reduce_segments((vh, vl), expr_dt, rop, seg, offsets)
-            out_hi[out_idx] = res_h
-            out_lo[out_idx] = res_l
-        elif batch > 1:
-            v = np.broadcast_to(np.asarray(value), (total, batch))
-            out_hi[out_idx] = _reduce_segments_batched(v, expr_dt, rop, seg, offsets, batch)
+            vh = np.broadcast_to(np.asarray(value[0]), shape)
+            vl = np.broadcast_to(np.asarray(value[1]), shape)
+            res_h, res_l = _reduce_segments((vh, vl), expr_dt, rop, seg, offsets, batch)
+            out_hi[out_idx] = res_h.reshape(out_shape)
+            out_lo[out_idx] = res_l.reshape(out_shape)
         else:
-            v = np.broadcast_to(np.asarray(value), (total,))
-            out_hi[out_idx] = _reduce_segments(v, expr_dt, rop, seg, offsets)
+            v = np.broadcast_to(np.asarray(value), shape)
+            res = _reduce_segments(v, expr_dt, rop, seg, offsets, batch)
+            out_hi[out_idx] = res.reshape(out_shape)
 
     return op
 

@@ -15,7 +15,7 @@ the analogue for the simulated pipeline:
   :class:`CompiledSolve`, with hit/miss/eviction counters that surface in
   telemetry and the CLI,
 - :class:`CompiledSolve` — one built-and-lowered solver program plus a
-  snapshot of every graph variable's initial shard contents; ``prepare``
+  snapshot of every graph variable's initial flat buffers; ``prepare``
   restores that snapshot and rebinds a new ``b`` / ``x0``, so a cache hit
   re-executes the identical :class:`~repro.graph.CompiledProgram` without
   re-running a single compiler pass — bit-identical in tensors *and* in
@@ -143,14 +143,21 @@ def fingerprint_solve(
     return hashlib.sha256(json.dumps(parts, sort_keys=True).encode()).hexdigest()
 
 
+def _image(buf):
+    """A flat buffer's initial image: ``None`` if all its bytes are zero."""
+    if buf is None or not buf.view(np.uint8).any():
+        return None
+    return buf.copy()
+
+
 @dataclass
 class CompiledSolve:
     """One built solver program, ready to re-run against new host values.
 
     Holds the live object graph of a single ``_build_program`` +
     ``ctx.compile`` invocation — context, solver tree, bound x/b vectors,
-    device, monitor — plus ``initial_state``: a deep copy of every graph
-    variable's shard arrays taken *before* the first execution.
+    device, monitor — plus ``initial_state``: an image of every graph
+    variable's flat buffers taken *before* the first execution.
     :meth:`prepare` rolls the device back to that image, which is what
     makes a re-run bit-identical to the first run (the program itself is
     never mutated by execution; only the shard arrays are).
@@ -178,12 +185,14 @@ class CompiledSolve:
     @classmethod
     def capture(cls, key, ctx, solver, xvec, bvec, device, compiled,
                 monitor=None, build_seconds: float = 0.0) -> "CompiledSolve":
-        """Snapshot the post-build, pre-run state of every graph variable."""
+        """Snapshot the post-build, pre-run state of every graph variable.
+
+        One image per flat buffer (the shard views all alias it): a copy,
+        or ``None`` when every *byte* is zero — most solver state starts
+        at zero, and a byte test keeps ``-0.0`` (and its sign) in a copy.
+        """
         initial = {
-            name: {
-                t: (sh.data.copy(), None if sh.lo is None else sh.lo.copy())
-                for t, sh in var.shards.items()
-            }
+            name: tuple(_image(buf) for buf in (var.flat_data, var.flat_lo))
             for name, var in ctx.graph.variables.items()
         }
         return cls(
@@ -195,7 +204,7 @@ class CompiledSolve:
     def prepare(self, b, x0=None, rconfig=None) -> None:
         """Reset for a fresh run: restore the initial image, rebind hosts.
 
-        Restores every variable's shard arrays, clears the solver tree's
+        Restores every variable's flat buffers, clears the solver tree's
         :class:`~repro.solvers.base.SolveStats` *in place* (runtime
         callbacks close over them), resets the monitor and the device
         profiler clock, then writes the new ``b`` (and ``x0``, default
@@ -206,13 +215,13 @@ class CompiledSolve:
             snap = self.initial_state.get(name)
             if snap is None:
                 continue
-            for tile_id, (data, lo) in snap.items():
-                sh = var.shards.get(tile_id)
-                if sh is None:
+            for buf, image in zip((var.flat_data, var.flat_lo), snap):
+                if buf is None:
                     continue
-                sh.data[...] = data
-                if lo is not None and sh.lo is not None:
-                    sh.lo[...] = lo
+                if image is None:
+                    buf.fill(0)
+                else:
+                    buf[...] = image
         for s in self.solver.iter_tree():
             s.stats.reset()
             # Batched programs also carry one SolveStats per RHS column;

@@ -33,6 +33,7 @@ __all__ = [
     "combine_codelet",
     "batch_reduce_codelet",
     "category_for",
+    "reduce_columns",
     "worker_chunks",
 ]
 
@@ -243,15 +244,24 @@ REDUCE_OPS = ("sum", "max", "min")
 
 
 def _dw_tree_sum(hi, lo):
-    """Pairwise double-word summation of flat (hi, lo) arrays."""
-    while hi.size > 1:
-        half = hi.size // 2
-        h2, l2 = joldes.add_dw_dw(hi[:half], lo[:half], hi[half : 2 * half], lo[half : 2 * half])
-        if hi.size % 2:
-            h2 = np.concatenate([h2, hi[-1:]])
-            l2 = np.concatenate([l2, lo[-1:]])
+    """Pairwise double-word summation along the last axis of ``(hi, lo)``.
+
+    A 1-D pair is one tile's value; a stacked ``(..., n)`` pair reduces
+    every row at once.  ``add_dw_dw`` is pointwise and the pairing is by
+    index, so each row's result is bit-identical to its own 1-D reduction.
+    """
+    while hi.shape[-1] > 1:
+        half = hi.shape[-1] // 2
+        h2, l2 = joldes.add_dw_dw(
+            hi[..., :half], lo[..., :half], hi[..., half : 2 * half], lo[..., half : 2 * half]
+        )
+        if hi.shape[-1] % 2:
+            h2 = np.concatenate([h2, hi[..., -1:]], axis=-1)
+            l2 = np.concatenate([l2, lo[..., -1:]], axis=-1)
         hi, lo = h2, l2
-    return (hi[0], lo[0]) if hi.size else (np.float32(0), np.float32(0))
+    if hi.shape[-1] == 0:
+        return np.zeros(hi.shape[:-1], np.float32), np.zeros(hi.shape[:-1], np.float32)
+    return hi[..., 0].copy(), lo[..., 0].copy()
 
 
 def _reduce_value(value, dt: str, op: str):
@@ -271,30 +281,52 @@ def _reduce_value(value, dt: str, op: str):
     return arr.max() if op == "max" else arr.min()
 
 
+def reduce_columns(value, dt: str, op: str):
+    """Reduce every column of a ``(..., n, batch)`` value along ``n``.
+
+    Returns ``(..., batch)`` arrays (a (hi, lo) pair for dw); element
+    ``[..., j]`` is bit-identical to :func:`_reduce_value` of the column
+    ``value[..., :, j]`` alone.  The value is first copied column-major —
+    each column becomes one contiguous row — and then reduced along the
+    last axis in one call.  numpy's pairwise summation splits a length-n
+    inner loop at index-based points whatever its stride, so a contiguous
+    row sums exactly like the strided column it came from; a plain
+    ``sum(axis=-2)`` would instead accumulate across rows element by
+    element and round differently.  dw sums reuse the same index pairing
+    (:func:`_dw_tree_sum` over rows); max/min pick a row-wise
+    argmax/argmin of ``hi + lo`` in f64, like the 1-D path.
+    """
+    def rows(a, dtype=None):
+        return np.ascontiguousarray(np.swapaxes(np.asarray(a, dtype), -1, -2))
+
+    if dt == Type.DOUBLEWORD:
+        hi, lo = rows(value[0], np.float32), rows(value[1], np.float32)
+        if op == "sum":
+            return _dw_tree_sum(hi, lo)
+        wide = hi.astype(np.float64) + lo.astype(np.float64)
+        k = (np.argmax if op == "max" else np.argmin)(wide, axis=-1)[..., None]
+        return np.take_along_axis(hi, k, -1)[..., 0], np.take_along_axis(lo, k, -1)[..., 0]
+    cols = rows(value)
+    if op == "sum":
+        return cols.sum(axis=-1, dtype=cols.dtype)
+    return cols.max(axis=-1) if op == "max" else cols.min(axis=-1)
+
+
 def _reduce_value_batched(value, dt: str, op: str, n: int, batch: int):
     """Per-RHS reduction of a ``(n, batch)`` tile value → length-``batch`` arrays.
 
-    Each column goes through exactly the same :func:`_reduce_value` code as
-    the single-RHS path — numpy's pairwise summation of a strided column
-    view is bit-identical to the contiguous 1-D sum (the split points are
-    index-based), whereas a single ``sum(axis=0)`` over the 2-D array is
-    not.  This per-column loop is what makes every batched reduction
-    bit-identical per RHS to its single-RHS counterpart.
+    One :func:`reduce_columns` call over the (broadcast) value.  Column
+    ``j`` of the result is bit-identical to the single-RHS reduction of
+    that column: the transposed copy turns each strided column into a
+    contiguous row, and numpy's pairwise summation splits a row by index,
+    not by memory stride — whereas a single ``sum(axis=0)`` over the 2-D
+    array accumulates row after row and rounds differently.
     """
     if dt == Type.DOUBLEWORD:
-        hi = np.broadcast_to(np.asarray(value[0], np.float32), (n, batch))
-        lo = np.broadcast_to(np.asarray(value[1], np.float32), (n, batch))
-        out_hi = np.empty(batch, np.float32)
-        out_lo = np.empty(batch, np.float32)
-        for j in range(batch):
-            out_hi[j], out_lo[j] = _reduce_value((hi[:, j], lo[:, j]), dt, op)
-        return out_hi, out_lo
-    arr = np.asarray(value)
-    full = np.broadcast_to(arr, (n, batch))
-    out = np.empty(batch, arr.dtype)
-    for j in range(batch):
-        out[j] = _reduce_value(full[:, j], dt, op)
-    return out
+        value = tuple(np.broadcast_to(np.asarray(v, np.float32), (n, batch)) for v in value)
+    else:
+        value = np.broadcast_to(np.asarray(value), (n, batch))
+    return reduce_columns(value, dt, op)
 
 
 def partial_reduce_codelet(model, expr: Expr, out_var, tile_id: int, workers: int,

@@ -163,26 +163,40 @@ def test_spmv_with_halo_fused_matches_sim():
     np.testing.assert_array_equal(results["fused"], results["sim"])
 
 
+def _uneven_reductions(backend, data, batch=1):
+    """dot/max/min of a 13-row tensor over 4 tiles (unequal shard sizes)."""
+    ctx = TensorContext(IPUDevice(tiles_per_ipu=4))
+    t = ctx.tensor((data.shape[-1],), data=data, batch=batch)
+    s = t.dot(t).materialize()
+    m = t.max().materialize()
+    lo = t.min().materialize()
+    ctx.run(backend=backend)
+    return [np.asarray(r.value()).copy() for r in (s, m, lo)]
+
+
 def test_uneven_shards_reduce_fused_matches_sim():
     """Reductions over unequal per-tile segments take the per-slice path;
     it must agree with the tile-by-tile sim reduction bit for bit."""
-    n = 13  # 13 rows over 4 tiles: unequal shard sizes
-    results = {}
-    for backend in ("sim", "fused"):
-        ctx = TensorContext(IPUDevice(tiles_per_ipu=4))
-        data = np.linspace(-2.0, 2.0, n)
-        t = ctx.tensor((n,), data=data)
-        s = t.dot(t).materialize()
-        m = t.max().materialize()
-        lo = t.min().materialize()
-        ctx.run(backend=backend)
-        results[backend] = (
-            np.asarray(s.value()).copy(),
-            np.asarray(m.value()).copy(),
-            np.asarray(lo.value()).copy(),
-        )
-    for got, want in zip(results["fused"], results["sim"]):
+    data = np.linspace(-2.0, 2.0, 13)
+    for got, want in zip(_uneven_reductions("fused", data), _uneven_reductions("sim", data)):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("batch", [3, 64])
+def test_uneven_shards_batched_reduce_fused_matches_sim(batch):
+    """The batched twin: every RHS column of a per-slice reduction agrees
+    with the sim backend bit for bit, and with its own single-RHS run."""
+    rng = np.random.default_rng(batch)
+    data = rng.standard_normal((batch, 13)) * np.logspace(-3, 3, 13)
+    data[0, 5] = -0.0
+    fused = _uneven_reductions("fused", data, batch)
+    for got, want in zip(fused, _uneven_reductions("sim", data, batch)):
+        assert got.shape == (batch,)
+        assert got.tobytes() == want.tobytes()
+    for j in (0, batch - 1):
+        solo = _uneven_reductions("sim", data[j])
+        for got, want in zip(fused, solo):
+            assert got[j].tobytes() == np.asarray(want).reshape(-1)[0].tobytes()
 
 
 # -- kernel counts: static schedule + dynamic counters ---------------------------------
@@ -327,6 +341,29 @@ def test_fused_session_cache_hit_replays_bit_identically():
     sim = solve(crs, b, CG, grid_dims=dims, tiles_per_ipu=4, backend="sim")
     np.testing.assert_array_equal(hit.x, sim.x)
     assert hit.relative_residual == sim.relative_residual
+
+
+def test_warm_fused_batched_cg_makes_no_per_column_reductions(monkeypatch):
+    """Every batched reduction of a warm fused B=64 CG solve — vectorized
+    groups and combine fallback vertices alike — goes through the column
+    helper: the single-value ``_reduce_value`` is never called."""
+    import repro.tensordsl.materialize as materialize
+
+    crs, dims = poisson3d(6)
+    bs = np.random.default_rng(5).standard_normal((64, crs.n))
+    session = SolverSession(crs, CG, grid_dims=dims, num_ipus=2, tiles_per_ipu=4,
+                            backend="fused")
+    cold = session.solve(bs)
+    calls = []
+    real = materialize._reduce_value
+    monkeypatch.setattr(materialize, "_reduce_value",
+                        lambda *args: calls.append(args) or real(*args))
+    warm = session.solve(bs)
+    assert calls == []
+    np.testing.assert_array_equal(warm.x, cold.x)
+    # The wrapper is live: a single-RHS sim solve reduces through it.
+    solve(crs, bs[0], CG, grid_dims=dims, num_ipus=2, tiles_per_ipu=4, backend="sim")
+    assert calls
 
 
 # -- schedule plumbing -----------------------------------------------------------------

@@ -15,7 +15,7 @@ from repro.solvers import (
     solve,
     solve_many,
 )
-from repro.solvers.session import resolve_cache
+from repro.solvers.session import CompiledSolve, _image, resolve_cache
 from repro.sparse import ModifiedCRS, poisson2d, poisson3d
 
 CG = {"solver": "cg", "tol": 1e-6}
@@ -212,6 +212,42 @@ class TestCacheHits:
         its = first.iterations
         solve(crs, b, CG, grid_dims=dims, tiles_per_ipu=4, cache=cache)
         assert first.iterations == its
+
+
+class TestInitialImage:
+    def test_image_tests_bytes_not_values(self):
+        assert _image(np.zeros(5, np.float32)) is None
+        assert _image(None) is None
+        neg = _image(np.full(5, -0.0, np.float32))
+        assert neg is not None and np.signbit(neg).all()
+
+    def test_hit_restores_negative_zero_and_constants(self, monkeypatch):
+        """An initial image holding -0.0 and nonzero constants survives the
+        flat-buffer snapshot: the restored bytes keep every sign, and a
+        cache-hit re-run is bit-identical to the first run."""
+        crs, dims, b = _system()
+        pattern = np.resize(np.array([-0.0, 0.25, -0.0, -1.5], np.float32), crs.n)
+        entries = []
+        real = CompiledSolve.capture.__func__
+
+        def capture(cls, key, ctx, solver, xvec, bvec, *args, **kwargs):
+            # The initial guess is x's build-time image (x0=None below).
+            xvec.owned.var.flat_data[...] = pattern
+            entries.append(real(cls, key, ctx, solver, xvec, bvec, *args, **kwargs))
+            return entries[-1]
+
+        monkeypatch.setattr(CompiledSolve, "capture", classmethod(capture))
+        session = SolverSession(crs, CG, grid_dims=dims)
+        first = session.solve(b)
+        entry, = entries
+        x_buf = entry.xvec.owned.var.flat_data
+        assert x_buf.tobytes() != pattern.tobytes()  # the run overwrote it
+        hit = session.solve(b)
+        assert session.stats()["hits"] == 1
+        np.testing.assert_array_equal(hit.x, first.x)
+        assert hit.stats.residuals == first.stats.residuals
+        entry.prepare(b)
+        assert x_buf.tobytes() == pattern.tobytes()
 
 
 class TestSolverSession:
